@@ -26,7 +26,10 @@ use std::time::Instant;
 use workload::{TraceSpec, Workload};
 
 /// Times `iotax-gen` builds the trace in one run; `setup_s` is their median.
-pub const SETUP_ROUNDS: usize = 3;
+/// The first round writes the trace the passes read; the others are spread
+/// evenly through the timed passes, so the median samples the same stretch
+/// of host and filesystem state as `wall_s`.
+pub const SETUP_ROUNDS: usize = 7;
 /// Fewest timed passes a run makes, however short `--seconds` is.
 pub const MIN_PASSES: usize = 3;
 
@@ -160,6 +163,18 @@ fn read_text(path: &Path) -> String {
     std::fs::read_to_string(path).unwrap_or_default()
 }
 
+/// Runs `iotax-gen` once, writing the trace to `dir`; returns its wall time.
+fn gen_round(bins: &Bins, spec: &TraceSpec, dir: &Path, work: &Path) -> Result<f64, String> {
+    let gen_args = spec.gen_args(&dir.to_string_lossy());
+    let argv: Vec<&str> = gen_args.iter().map(String::as_str).collect();
+    let (out, err) = (work.join("gen.out"), work.join("gen.err"));
+    let m = procs::run(&bins.gen, &argv, &out, &err).map_err(|e| e.to_string())?;
+    if !m.ok() {
+        return Err(format!("iotax-gen exited {:?}: {}", m.exit_code, read_text(&err)));
+    }
+    Ok(m.wall_s)
+}
+
 /// Runs `iotax-analyze` (and, on the recorded workload, `iotax-report
 /// show` on the record it wrote) once. The output is checked against the
 /// reference later: the harness stays small while passes run, because a
@@ -172,11 +187,14 @@ fn cli_pass(bins: &Bins, wl: &Workload, trace: &Path, work: &Path) -> Result<Pas
     }
     let path = |p: &Path| p.to_string_lossy().into_owned();
     let mut args = vec![path(trace)];
-    if wl.stats_only {
-        args.push("--stats-only".into());
-    }
-    if wl.recorded {
-        args.extend(["--ledger".into(), path(&ledger), "--store".into(), path(&store)]);
+    if wl.ingest_recorded {
+        args.extend([
+            "--stats-only".into(),
+            "--ledger".into(),
+            path(&ledger),
+            "--store".into(),
+            path(&store),
+        ]);
     }
     let (out, err) = (work.join("analyze.out"), work.join("analyze.err"));
     let argv: Vec<&str> = args.iter().map(String::as_str).collect();
@@ -195,7 +213,7 @@ fn cli_pass(bins: &Bins, wl: &Workload, trace: &Path, work: &Path) -> Result<Pas
         return Ok(pass);
     }
     pass.parsed = CliOutput::parse(&stdout, &read_text(&err));
-    if wl.recorded {
+    if wl.ingest_recorded {
         let (sout, serr) = (work.join("show.out"), work.join("show.err"));
         let show = procs::run(&bins.report, &["show", &path(&ledger)], &sout, &serr)
             .map_err(|e| e.to_string())?;
@@ -272,49 +290,38 @@ fn measure(
     let mut o = Outcome { correct: true, ..Default::default() };
     let mut problems: Vec<String> = Vec::new();
 
-    // Set-up: iotax-gen builds the trace, SETUP_ROUNDS times.
-    let mut setup = Vec::new();
-    let mut first_digest = None;
-    let mut trace = PathBuf::new();
-    for round in 0..SETUP_ROUNDS {
-        let dir = work.join(format!("trace-{round}"));
-        let gen_args = spec.gen_args(&dir.to_string_lossy());
-        let argv: Vec<&str> = gen_args.iter().map(String::as_str).collect();
-        let m = procs::run(&bins.gen, &argv, &work.join("gen.out"), &work.join("gen.err"))
-            .map_err(|e| e.to_string())?;
-        o.attempted += 1;
-        if !m.ok() {
-            return Err(format!(
-                "iotax-gen exited {:?}: {}",
-                m.exit_code,
-                read_text(&work.join("gen.err"))
-            ));
-        }
-        setup.push(m.wall_s);
-        let digest = digest_dir(&dir);
-        if *first_digest.get_or_insert(digest) != digest {
-            problems.push(format!("iotax-gen round {round} wrote a different trace"));
-        }
-        if round > 0 {
-            let _ = std::fs::remove_dir_all(&trace);
-        }
-        trace = dir;
-    }
+    // Set-up: iotax-gen builds the trace the passes read, then builds it
+    // again SETUP_ROUNDS - 1 times, spread evenly through the timed passes.
+    let trace = work.join("trace");
+    let extra = work.join("trace-extra");
+    let mut setup = vec![gen_round(bins, spec, &trace, work)?];
+    o.attempted += 1;
+    let digest = digest_dir(&trace);
 
     // Timed passes, one at a time, after one untimed warm-up pass.
     let mut passes: Vec<Pass> = Vec::new();
     let mut timed_start = None;
     loop {
+        let elapsed = timed_start.map_or(0.0, |t: Instant| t.elapsed().as_secs_f64());
+        let due = setup.len() as f64 * args.seconds / SETUP_ROUNDS as f64;
+        if timed_start.is_some() && setup.len() < SETUP_ROUNDS && elapsed >= due {
+            setup.push(gen_round(bins, spec, &extra, work)?);
+            o.attempted += 1;
+            if digest_dir(&extra) != digest {
+                problems.push(format!("iotax-gen round {} wrote a different trace", setup.len()));
+            }
+            let _ = std::fs::remove_dir_all(&extra);
+            continue;
+        }
         let pass = cli_pass(bins, wl, &trace, work)?;
         o.attempted += 1;
         o.failed += u64::from(!pass.ok);
-        let Some(start) = timed_start else {
-            timed_start = Some(Instant::now());
-            passes.push(pass);
-            continue;
-        };
         passes.push(pass);
-        if passes.len() > MIN_PASSES && start.elapsed().as_secs_f64() >= args.seconds {
+        let start = *timed_start.get_or_insert_with(Instant::now);
+        if passes.len() > MIN_PASSES
+            && setup.len() == SETUP_ROUNDS
+            && start.elapsed().as_secs_f64() >= args.seconds
+        {
             break;
         }
     }
@@ -335,7 +342,7 @@ fn measure(
     let ok: Vec<&Pass> = passes.iter().filter(|p| p.ok).collect();
     for pass in &ok {
         problems.extend(pass.problems.iter().cloned());
-        problems.extend(checks::check_cli_pass(&pass.parsed, &reference, !wl.stats_only));
+        problems.extend(checks::check_cli_pass(&pass.parsed, &reference, !wl.ingest_recorded));
         if pass.stdout != ok[0].stdout {
             problems.push("iotax-analyze printed different output on the same trace".to_owned());
         }
@@ -366,7 +373,7 @@ fn measure(
         if traced.jobs != jobs {
             problems.push(format!("traced pass ingested {} jobs, the CLI {jobs}", traced.jobs));
         }
-        if !wl.stats_only {
+        if !wl.ingest_recorded {
             o.attempted += 1;
             problems.extend(compare_stage_metrics(
                 bins,
@@ -397,7 +404,7 @@ fn measure(
             "uncovered",
             rest / traced.pass_s * 100.0
         ));
-        if !wl.stats_only {
+        if !wl.ingest_recorded {
             o.lines.push(
                 "  (core keeps the ml work the harness does not replay: the tuned refit and \
                  the golden-model fits)"

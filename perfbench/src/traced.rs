@@ -281,7 +281,7 @@ pub fn run(inp: &Input<'_>) -> Result<Traced, String> {
 
     // ---- the pass, in iotax-analyze's order ----
     let pass_start = Instant::now();
-    let obs_args = if wl.recorded {
+    let obs_args = if wl.ingest_recorded {
         ObsArgs { ledger: Some(ledger.clone()), store: Some(store.clone()), ..Default::default() }
     } else {
         ObsArgs::default()
@@ -321,7 +321,7 @@ pub fn run(inp: &Input<'_>) -> Result<Traced, String> {
     let mut t_pass_dataset = 0.0;
     let mut t_taxonomy = 0.0;
     let mut pass_dataset = None;
-    if !wl.stats_only {
+    if !wl.ingest_recorded {
         let (ds, t) = time(|| trace_to_dataset(&jobs));
         t_pass_dataset = t;
         let (report, t) = run_stages(&ds, m)?;
@@ -335,7 +335,7 @@ pub fn run(inp: &Input<'_>) -> Result<Traced, String> {
         out.problems.push(format!("observability teardown returned {status}"));
     }
     let mut t_show = 0.0;
-    if wl.recorded {
+    if wl.ingest_recorded {
         let (shown, t) = time(|| load_show(&ledger));
         t_show = t;
         if let Err(e) = shown {
@@ -382,7 +382,7 @@ pub fn run(inp: &Input<'_>) -> Result<Traced, String> {
         }
     }
 
-    if wl.recorded {
+    if wl.ingest_recorded {
         let rec = Recorded {
             install_s: t_install,
             ingest_s: t_ingest,
@@ -428,7 +428,7 @@ pub fn run(inp: &Input<'_>) -> Result<Traced, String> {
         + t_finish
         + t_show;
     out.coverage = covered / out.pass_s;
-    let (ml_in_pass, uq_in_pass) = if wl.stats_only { (0.0, 0.0) } else { (ml_s, uq_s) };
+    let (ml_in_pass, uq_in_pass) = if wl.ingest_recorded { (0.0, 0.0) } else { (ml_s, uq_s) };
     let mut self_time = vec![
         ("obs", t_install + t_finish),
         ("cli", t_read + t_ingest - darshan_s + t_dup + t_pass_dataset),

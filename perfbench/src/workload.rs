@@ -11,6 +11,9 @@ pub const FAULT_SEED_BASE: u64 = 20_220_914;
 /// Share of logs the fault plan damages.
 pub const FAULT_RATE: f64 = 0.20;
 
+/// Jobs in every workload's trace in tiny mode (the harness's own tests).
+pub const TINY_JOBS: usize = 1_500;
+
 /// One workload: a trace recipe and the commands one pass runs on it.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Workload {
@@ -20,39 +23,24 @@ pub struct Workload {
     pub system: &'static str,
     /// Jobs in the trace.
     pub jobs: usize,
-    /// Jobs in the trace in tiny mode (the harness's own tests).
-    pub tiny_jobs: usize,
-    /// Pass runs `iotax-analyze --stats-only` instead of all five stages.
-    pub stats_only: bool,
-    /// Pass writes a run record (`--ledger DIR --store DIR`) and reads it
-    /// back with `iotax-report show`.
-    pub recorded: bool,
-    /// The run seed picks the fault plan. Off for the pinned taxonomy
-    /// trace: there the fault plan moves the grid-search winner between
-    /// 40 and 120 trees, and with it about a third of the pass, so a
-    /// per-seed trace would measure the seed rather than the code.
-    pub seeded_faults: bool,
+    /// A pass runs `iotax-analyze --stats-only --ledger DIR --store DIR`
+    /// and reads the record back with `iotax-report show`; otherwise it
+    /// runs all five taxonomy stages and records nothing. The run seed
+    /// picks the fault plan only here: on the full taxonomy the fault plan
+    /// moves the grid-search winner between 40 and 120 trees, and with it
+    /// about a third of the pass, so a per-seed trace would measure the
+    /// seed rather than the code.
+    pub ingest_recorded: bool,
 }
 
 /// Every workload. Why each exists is in `BENCHMARK.json` and the README.
 pub const WORKLOADS: [Workload; 2] = [
-    Workload {
-        name: "taxonomy-theta-2k",
-        system: "theta",
-        jobs: 2_000,
-        tiny_jobs: 1_500,
-        stats_only: false,
-        recorded: false,
-        seeded_faults: false,
-    },
+    Workload { name: "taxonomy-theta-2k", system: "theta", jobs: 2_000, ingest_recorded: false },
     Workload {
         name: "ingest-cori-20k-recorded",
         system: "cori",
         jobs: 20_000,
-        tiny_jobs: 1_500,
-        stats_only: true,
-        recorded: true,
-        seeded_faults: true,
+        ingest_recorded: true,
     },
 ];
 
@@ -77,8 +65,8 @@ impl TraceSpec {
     pub fn new(w: &Workload, seed: u64, tiny: bool) -> Self {
         Self {
             system: w.system,
-            jobs: if tiny { w.tiny_jobs } else { w.jobs },
-            fault_seed: if w.seeded_faults {
+            jobs: if tiny { TINY_JOBS } else { w.jobs },
+            fault_seed: if w.ingest_recorded {
                 FAULT_SEED_BASE.wrapping_add(seed)
             } else {
                 FAULT_SEED_BASE
